@@ -44,7 +44,7 @@ pub enum Kind {
 /// same ~26 days as the batch scenario — short enough for several
 /// measured drives per run.
 const STREAM_SCALE: f64 = 0.25;
-/// Engine state shards and pool workers (the container has 2 cores).
+/// Engine state shards and pool workers, sized for a 2-core host.
 const SHARDS: usize = 2;
 const WORKERS: usize = 2;
 /// A checkpoint every this many consumed events, keeping the newest 2.
