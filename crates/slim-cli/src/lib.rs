@@ -1147,6 +1147,10 @@ fn run_stream(
     let latency = engine.event_latency_histogram();
     let query_latency = engine.query_latency_histogram();
     let ckpt_write = engine.checkpoint_write_histogram();
+    let ckpt_parts = engine
+        .checkpoint_part_histograms()
+        .map(|(_, h)| format!("{:.2}", ms(h.p50())))
+        .join("/");
     // The scoring kernel is reported in ns/window, not in the ms span
     // digest: its spans are per (pair, window) contribution.
     let kernel = engine.score_kernel_histogram();
@@ -1172,7 +1176,7 @@ fn run_stream(
          serve: {} epochs published, {} link queries answered, \
          query p50/p95 {:.2}/{:.2} ms\n\
          ckpt: {} checkpoints written ({} bytes), {} rejected at recovery, \
-         write p50/p95 {:.2}/{:.2} ms\n\
+         write p50/p95 {:.2}/{:.2} ms (encode/crc/sync p50 {ckpt_parts} ms)\n\
          pool: {} shards on {} workers, {} chunk steals, \
          worker busy max/min {:.2}/{:.2} ms\n\
          ticks: {} of {} cached pairs visited, {} retired, {} edges patched, \

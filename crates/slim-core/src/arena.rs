@@ -401,33 +401,23 @@ impl HistoryArena {
         Some(MobilityHistory::from_leaves(e, leaves, window_records))
     }
 
-    /// One entity's live columns plus the per-window record counts —
-    /// the checkpoint-serialization export. The columns come back in
-    /// exactly the canonical order [`EntityView`] exposes, so
-    /// [`HistoryArena::restore_entity`] round-trips bit-identically.
-    /// `None` for absent/tombstoned entities.
-    #[allow(clippy::type_complexity)]
-    pub fn export_entity(
-        &self,
-        e: EntityId,
-    ) -> Option<(Vec<WindowIdx>, Vec<CellId>, Vec<u32>, Vec<(WindowIdx, u32)>)> {
+    /// `e`'s per-window record counts, sorted by window — with
+    /// [`HistoryArena::view`], everything a checkpoint serializes and
+    /// [`HistoryArena::restore_entity`] takes back. `None` for
+    /// absent/tombstoned entities.
+    pub fn window_records(&self, e: EntityId) -> Option<&[(WindowIdx, u32)]> {
         let slot = self.dir.get(&e)?;
         if slot.len == 0 {
             return None;
         }
-        let (off, len) = (slot.off, slot.len);
-        Some((
-            self.wins[off..off + len].to_vec(),
-            self.cells[off..off + len].to_vec(),
-            self.counts[off..off + len].to_vec(),
-            slot.window_records.clone(),
-        ))
+        Some(&slot.window_records)
     }
 
-    /// Restores one entity from a [`HistoryArena::export_entity`] dump:
-    /// the columns land contiguously at the tail (no slack, generation
-    /// 0) and the counters are rebuilt, so a recovered arena answers
-    /// every query exactly like the checkpointed one. The entity must
+    /// Restores one entity from its checkpointed columns and record
+    /// counts (see [`HistoryArena::window_records`]): the columns land
+    /// contiguously at the tail (no slack, generation 0) and the
+    /// counters are rebuilt, so a recovered arena answers every query
+    /// exactly like the checkpointed one. The entity must
     /// not already exist (recovery fills a fresh arena).
     pub fn restore_entity(
         &mut self,

@@ -24,22 +24,42 @@
 //! with an error — never a panic — and the loader falls back to the
 //! next-older file.
 //!
+//! # Write path
+//!
+//! The engine encodes the image straight from its live state into one
+//! output buffer that it reuses across the checkpoints of a drive. Shard state is not
+//! copied into an intermediate dump: for each collection the encoder
+//! gathers keys with references (`(entity, store)`, `(pair, &map)`)
+//! across shards, sorts only the keys into the canonical global order,
+//! and writes every item from its own map — arena histories straight
+//! from their column slices. Frames are written in place: the 16-byte
+//! header is reserved, the payload appended behind it, and the length
+//! patched in; a second pass ([`seal_frames`]) fills in each CRC with a
+//! slice-by-8 table CRC-32. Decoding goes the other way, into
+//! [`CheckpointState`], which recovery redistributes over the shards.
+//!
 //! # Atomic writes
 //!
 //! A checkpoint is written to a `.slim.tmp` sibling, fsynced, then
 //! renamed into place (`ckpt-<consumed-events, zero-padded>.slim` — the
 //! padding makes lexical order equal numeric order), followed by a
-//! best-effort directory fsync. A crash mid-write therefore leaves at
-//! worst a stale temp file, never a half-renamed checkpoint; a crash
-//! mid-*fsync* can leave a torn frame, which the CRC catches at load.
+//! best-effort directory fsync. A failed write removes its temp file; a
+//! crash mid-write leaves at worst a stale temp file, which the next
+//! successful checkpoint's pruning deletes, never a half-renamed
+//! checkpoint. A crash mid-*fsync* can leave a torn frame, which the
+//! CRC catches at load.
 //!
 //! # Sharding
 //!
-//! Checkpoints are **shard-agnostic**: per-shard state is merged into
-//! globally sorted collections before serialization, and recovery
-//! redistributes it by the deterministic entity hash
-//! ([`crate::shard::entity_shard`]). A checkpoint written by a 4-shard
-//! engine recovers bit-identically on a 1-shard one and vice versa.
+//! Checkpoints are **shard-agnostic**: per-shard state is written in
+//! one global canonical order (sorted by entity, pair, or `(side,
+//! entity)` key), the scheduling counters that depend on the shard and
+//! worker layout are recorded as zero, and recovery redistributes the
+//! state by the deterministic entity hash
+//! ([`crate::shard::entity_shard`]). The same consumed stream yields
+//! the same file on every shard and worker count, and a checkpoint
+//! written by a 4-shard engine recovers bit-identically on a 1-shard
+//! one and vice versa.
 
 use std::fs;
 use std::io::Write as _;
@@ -53,9 +73,9 @@ use crate::adjacency::PairKey;
 use crate::config::StreamConfig;
 use crate::engine::StreamStats;
 use crate::event::{Side, StreamEvent};
-use crate::lsh::RingDump;
-use crate::shard::BinnedEvent;
-use crate::store::HistoryDump;
+use crate::lsh::{RingDump, SpanRing};
+use crate::shard::{BinnedEvent, EngineShard};
+use crate::store::{HistoryDump, HistoryStore};
 use crate::testing::FaultPlan;
 
 /// File magic: the first 8 bytes of every checkpoint.
@@ -68,6 +88,9 @@ const TAG_ENGINE: u32 = 2;
 const TAG_SHARDS: u32 = 3;
 const TAG_PUMP: u32 = 4;
 const TAG_END: u32 = 5;
+
+/// Suffix of the temp file a checkpoint is written to before its rename.
+const TMP_SUFFIX: &str = ".slim.tmp";
 
 /// When and where the engine checkpoints, set via
 /// [`crate::StreamEngine::set_checkpoint_policy`].
@@ -87,8 +110,8 @@ pub struct CheckpointPolicy {
 // Checkpointed state
 // ---------------------------------------------------------------------
 
-/// Everything a checkpoint persists: the recovery image handed between
-/// the engine ([`crate::StreamEngine`]) and this module's codec.
+/// Everything a checkpoint persists, as [`decode`] returns it to
+/// [`crate::StreamEngine::recover`].
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointState {
     pub(crate) meta: MetaDump,
@@ -203,9 +226,10 @@ pub(crate) struct DfDump {
     pub(crate) num_entities: u64,
 }
 
-/// Per-shard state, merged across shards into globally sorted
-/// collections (sorted by entity, pair, or `(side, entity)` key) so the
-/// dump is identical for every shard count.
+/// Per-shard state as decoded from a checkpoint: globally sorted
+/// collections (by entity, pair, or `(side, entity)` key), in the
+/// layout the encoder writes straight from the shards. Recovery
+/// redistributes it over however many shards it runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardsDump {
     /// Per-side mobility histories (columnar arena contents).
@@ -278,15 +302,65 @@ pub(crate) enum TickerDump {
 // CRC-32 (IEEE)
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time: `CRC_TABLES[0]` is
+/// the classic byte-at-a-time table, and `CRC_TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes, so eight table reads advance
+/// the register over eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ CRC_POLY
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`,
+/// eight bytes per step (slice-by-8).
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -542,14 +616,42 @@ fn dec_binned(d: &mut Dec) -> Result<BinnedEvent, String> {
     })
 }
 
-fn put_history(out: &mut Vec<u8>, h: &HistoryDump) {
-    put_vec(out, &h.wins, |o, w| put_u32(o, *w));
-    put_vec(out, &h.cells, put_cell);
-    put_vec(out, &h.counts, |o, c| put_u32(o, *c));
-    put_vec(out, &h.window_records, |o, (w, n)| {
-        put_u32(o, *w);
-        put_u32(o, *n);
-    });
+/// One entity's history in the canonical [`HistoryDump`] column layout,
+/// written straight from the store: arena column slices as they are,
+/// or the legacy per-window bins walked in the same order.
+fn put_history(out: &mut Vec<u8>, store: &HistoryStore, e: EntityId) {
+    match store {
+        HistoryStore::Arena(arena) => {
+            let v = arena.view(e).expect("listed entity is live");
+            put_vec(out, v.wins, |o, w| put_u32(o, *w));
+            put_vec(out, v.cells, put_cell);
+            put_vec(out, v.counts, |o, n| put_u32(o, *n));
+            let records = arena.window_records(e).expect("listed entity is live");
+            put_vec(out, records, |o, (w, n)| {
+                put_u32(o, *w);
+                put_u32(o, *n);
+            });
+        }
+        HistoryStore::Legacy(map) => {
+            let h = &map[&e];
+            let bins = || {
+                h.windows()
+                    .flat_map(|w| h.bins_in(w).iter().map(move |b| (w, b)))
+            };
+            let n = bins().count() as u64;
+            put_u64(out, n);
+            bins().for_each(|(w, _)| put_u32(out, w));
+            put_u64(out, n);
+            bins().for_each(|(_, (c, _))| put_cell(out, c));
+            put_u64(out, n);
+            bins().for_each(|(_, (_, count))| put_u32(out, *count));
+            put_u64(out, h.window_record_counts().count() as u64);
+            for (w, n) in h.window_record_counts() {
+                put_u32(out, w);
+                put_u32(out, n);
+            }
+        }
+    }
 }
 
 fn dec_history(d: &mut Dec) -> Result<HistoryDump, String> {
@@ -561,20 +663,23 @@ fn dec_history(d: &mut Dec) -> Result<HistoryDump, String> {
     })
 }
 
-fn put_ring(out: &mut Vec<u8>, r: &RingDump) {
-    put_side(out, r.side);
-    put_u64(out, r.entity.0);
-    put_vec(out, &r.slots, |o, slot| {
-        put_vec(o, slot, |o, (w, c, n)| {
-            put_u32(o, *w);
-            put_cell(o, c);
-            put_u32(o, *n);
-        });
+/// One entity's ring in the [`RingDump`] layout, written from the live
+/// ring (slot maps iterate in `(window, cell)` order).
+fn put_ring(out: &mut Vec<u8>, (side, entity): (Side, EntityId), ring: &SpanRing) {
+    put_side(out, side);
+    put_u64(out, entity.0);
+    put_vec(out, ring.slots(), |o, slot| {
+        put_u64(o, slot.len() as u64);
+        for (&(w, c), &n) in slot {
+            put_u32(o, w);
+            put_cell(o, &c);
+            put_u32(o, n);
+        }
     });
-    put_vec(out, &r.owners, |o, own| {
+    put_vec(out, ring.owners(), |o, own| {
         put_opt(o, own, |o, w| put_u32(o, *w));
     });
-    put_vec(out, &r.sig, |o, s| put_opt(o, s, put_cell));
+    put_vec(out, ring.sig(), |o, s| put_opt(o, s, put_cell));
 }
 
 fn dec_ring(d: &mut Dec) -> Result<RingDump, String> {
@@ -781,22 +886,20 @@ fn dec_df(d: &mut Dec) -> Result<DfDump, String> {
 // Section codecs
 // ---------------------------------------------------------------------
 
-fn encode_meta(m: &MetaDump) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, m.consumed);
+fn put_meta(out: &mut Vec<u8>, m: &MetaDump) {
+    put_u64(out, m.consumed);
     let f = &m.fingerprint;
-    put_i64(&mut out, f.window_width_secs);
-    put_u8(&mut out, f.spatial_level);
-    put_u64(&mut out, f.min_records);
-    put_opt(&mut out, &f.window_capacity, |o, v| put_u32(o, *v));
-    put_opt(&mut out, &f.lsh, |o, l| {
+    put_i64(out, f.window_width_secs);
+    put_u8(out, f.spatial_level);
+    put_u64(out, f.min_records);
+    put_opt(out, &f.window_capacity, |o, v| put_u32(o, *v));
+    put_opt(out, &f.lsh, |o, l| {
         put_u64(o, l.spans);
         put_u32(o, l.step_windows);
         put_u8(o, l.spatial_level);
         put_u64(o, l.threshold_bits);
         put_u64(o, l.num_buckets);
     });
-    out
 }
 
 fn decode_meta(payload: &[u8]) -> Result<MetaDump, String> {
@@ -824,24 +927,22 @@ fn decode_meta(payload: &[u8]) -> Result<MetaDump, String> {
     })
 }
 
-fn encode_engine(e: &EngineDump) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_opt(&mut out, &e.origin, |o, v| put_i64(o, *v));
-    put_u32(&mut out, e.domain);
-    put_u32(&mut out, e.watermark);
-    put_u32(&mut out, e.expired_below);
-    put_u64(&mut out, e.events_since_refresh);
-    put_stats(&mut out, &e.stats);
-    put_scoring(&mut out, &e.scoring);
-    put_vec(&mut out, &e.links, put_edge);
-    put_u64(&mut out, e.epoch_events);
-    put_opt(&mut out, &e.epoch_threshold, |o, v| put_f64(o, *v));
-    put_opt(&mut out, &e.epoch_frontier, |o, v| put_i64(o, *v));
-    put_vec(&mut out, &e.matcher_edges, put_edge);
-    put_opt(&mut out, &e.warm_seed, put_gmm);
-    put_df(&mut out, &e.df[0]);
-    put_df(&mut out, &e.df[1]);
-    out
+fn put_engine(out: &mut Vec<u8>, e: &EngineDump) {
+    put_opt(out, &e.origin, |o, v| put_i64(o, *v));
+    put_u32(out, e.domain);
+    put_u32(out, e.watermark);
+    put_u32(out, e.expired_below);
+    put_u64(out, e.events_since_refresh);
+    put_stats(out, &e.stats);
+    put_scoring(out, &e.scoring);
+    put_vec(out, &e.links, put_edge);
+    put_u64(out, e.epoch_events);
+    put_opt(out, &e.epoch_threshold, |o, v| put_f64(o, *v));
+    put_opt(out, &e.epoch_frontier, |o, v| put_i64(o, *v));
+    put_vec(out, &e.matcher_edges, put_edge);
+    put_opt(out, &e.warm_seed, put_gmm);
+    put_df(out, &e.df[0]);
+    put_df(out, &e.df[1]);
 }
 
 fn decode_engine(payload: &[u8]) -> Result<EngineDump, String> {
@@ -866,46 +967,132 @@ fn decode_engine(payload: &[u8]) -> Result<EngineDump, String> {
     Ok(e)
 }
 
-fn encode_shards(s: &ShardsDump) -> Vec<u8> {
-    let mut out = Vec::new();
-    for side in 0..2 {
-        put_vec(&mut out, &s.histories[side], |o, (e, h)| {
-            put_u64(o, e.0);
-            put_history(o, h);
-        });
-        put_vec(&mut out, &s.pending[side], |o, (e, evs)| {
-            put_u64(o, e.0);
-            put_vec(o, evs, put_binned);
-        });
-        put_vec(&mut out, &s.live_events[side], |o, (e, evs)| {
-            put_u64(o, e.0);
-            put_vec(o, evs, put_binned);
-        });
-        put_vec(&mut out, &s.active[side], |o, e| put_u64(o, e.0));
-        put_vec(&mut out, &s.dirty[side], |o, (e, ws)| {
-            put_u64(o, e.0);
-            put_vec(o, ws, |o, w| put_u32(o, *w));
-        });
-        put_vec(&mut out, &s.dead[side], |o, e| put_u64(o, e.0));
+/// Writes `items` as a length-prefixed vec in ascending key order. Keys
+/// are unique across shards (an entity lives on its home shard, a pair
+/// on its owner's), so the order is total and the bytes do not depend
+/// on how the items were spread over shards.
+fn put_sorted<K: Ord + Copy, V>(
+    out: &mut Vec<u8>,
+    items: impl Iterator<Item = (K, V)>,
+    mut put: impl FnMut(&mut Vec<u8>, K, V),
+) {
+    let mut items: Vec<(K, V)> = items.collect();
+    items.sort_unstable_by_key(|&(k, _)| k);
+    put_u64(out, items.len() as u64);
+    for (k, v) in items {
+        put(out, k, v);
     }
-    put_vec(&mut out, &s.rings, put_ring);
-    put_vec(&mut out, &s.cache, |o, (p, wins)| {
-        put_pair(o, p);
-        put_vec(o, wins, |o, (w, v)| {
-            put_u32(o, *w);
-            put_f64(o, *v);
-        });
-    });
-    put_vec(&mut out, &s.fresh, put_pair);
-    put_vec(&mut out, &s.edges, |o, (p, w)| {
-        put_pair(o, p);
-        put_f64(o, *w);
-    });
-    put_vec(&mut out, &s.edge_deltas, |o, (p, w)| {
-        put_pair(o, p);
-        put_opt(o, w, |o, v| put_f64(o, *v));
-    });
-    out
+}
+
+/// The SHARDS payload, written straight from live shard state: for each
+/// collection, gather `(key, where-to-find-it)` across shards, sort the
+/// keys into the canonical global order, and serialize every item from
+/// its own map. The [`ShardsDump`] decode target mirrors this layout.
+fn put_shards(out: &mut Vec<u8>, shards: &[EngineShard]) {
+    for i in 0..2 {
+        put_sorted(
+            out,
+            shards.iter().flat_map(|sh| {
+                let store = &sh.histories[i];
+                store.entity_ids().into_iter().map(move |e| (e, store))
+            }),
+            |o, e, store| {
+                put_u64(o, e.0);
+                put_history(o, store, e);
+            },
+        );
+        let put_events = |o: &mut Vec<u8>, e: EntityId, evs: &Vec<BinnedEvent>| {
+            put_u64(o, e.0);
+            put_vec(o, evs, put_binned);
+        };
+        put_sorted(
+            out,
+            shards
+                .iter()
+                .flat_map(|sh| &sh.pending[i])
+                .map(|(&e, evs)| (e, evs)),
+            put_events,
+        );
+        put_sorted(
+            out,
+            shards
+                .iter()
+                .flat_map(|sh| &sh.live_events[i])
+                .map(|(&e, evs)| (e, evs)),
+            put_events,
+        );
+        put_sorted(
+            out,
+            shards.iter().flat_map(|sh| &sh.active[i]).map(|&e| (e, ())),
+            |o, e, ()| put_u64(o, e.0),
+        );
+        put_sorted(
+            out,
+            shards
+                .iter()
+                .flat_map(|sh| &sh.dirty[i])
+                .map(|(&e, ws)| (e, ws)),
+            |o, e, ws| {
+                put_u64(o, e.0);
+                put_u64(o, ws.len() as u64);
+                for &w in ws {
+                    put_u32(o, w);
+                }
+            },
+        );
+        put_sorted(
+            out,
+            shards.iter().flat_map(|sh| &sh.dead[i]).map(|&e| (e, ())),
+            |o, e, ()| put_u64(o, e.0),
+        );
+    }
+    put_sorted(
+        out,
+        shards
+            .iter()
+            .flat_map(|sh| sh.rings.iter())
+            .map(|(&key, ring)| (key, ring)),
+        put_ring,
+    );
+    put_sorted(
+        out,
+        shards.iter().flat_map(|sh| &sh.cache).map(|(&p, m)| (p, m)),
+        |o, p, wins| {
+            put_pair(o, &p);
+            put_u64(o, wins.len() as u64);
+            for (&w, &v) in wins {
+                put_u32(o, w);
+                put_f64(o, v);
+            }
+        },
+    );
+    put_sorted(
+        out,
+        shards.iter().flat_map(|sh| &sh.fresh).map(|&p| (p, ())),
+        |o, p, ()| put_pair(o, &p),
+    );
+    put_sorted(
+        out,
+        shards
+            .iter()
+            .flat_map(|sh| &sh.edges)
+            .map(|(&p, &w)| (p, w)),
+        |o, p, w| {
+            put_pair(o, &p);
+            put_f64(o, w);
+        },
+    );
+    put_sorted(
+        out,
+        shards
+            .iter()
+            .flat_map(|sh| &sh.edge_deltas)
+            .map(|(&p, &w)| (p, w)),
+        |o, p, w| {
+            put_pair(o, &p);
+            put_opt(o, &w, |o, v| put_f64(o, *v));
+        },
+    );
 }
 
 fn decode_shards(payload: &[u8]) -> Result<ShardsDump, String> {
@@ -928,14 +1115,12 @@ fn decode_shards(payload: &[u8]) -> Result<ShardsDump, String> {
     Ok(s)
 }
 
-fn encode_pump(p: &ResumeState) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, p.consumed);
-    put_opt(&mut out, &p.reorder_max_seen, |o, v| put_i64(o, *v));
-    put_vec(&mut out, &p.reorder_held, put_event);
-    put_u64(&mut out, p.reorder_late);
-    put_ticker(&mut out, &p.ticker);
-    out
+fn put_pump(out: &mut Vec<u8>, p: &ResumeState) {
+    put_u64(out, p.consumed);
+    put_opt(out, &p.reorder_max_seen, |o, v| put_i64(o, *v));
+    put_vec(out, &p.reorder_held, put_event);
+    put_u64(out, p.reorder_late);
+    put_ticker(out, &p.ticker);
 }
 
 fn decode_pump(payload: &[u8]) -> Result<ResumeState, String> {
@@ -955,24 +1140,56 @@ fn decode_pump(payload: &[u8]) -> Result<ResumeState, String> {
 // Whole-file codec
 // ---------------------------------------------------------------------
 
-fn frame(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+/// Bytes of a frame header: tag u32, payload length u64, CRC-32 u32.
+const FRAME_HEADER: usize = 16;
+/// Bytes before the first frame: magic plus version.
+const FILE_HEADER: usize = MAGIC.len() + 4;
+
+/// Writes one frame in place: reserves its header, lets `payload`
+/// append the payload straight into `out`, then patches the length. The
+/// CRC slot stays zero until [`seal_frames`].
+fn put_frame(out: &mut Vec<u8>, tag: u32, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
     put_u32(out, tag);
-    put_u64(out, payload.len() as u64);
-    put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; FRAME_HEADER - 4]);
+    payload(out);
+    let len = (out.len() - start - FRAME_HEADER) as u64;
+    out[start + 4..start + 12].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Serializes a complete checkpoint image to its wire form.
-pub(crate) fn encode(state: &CheckpointState) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Serializes a complete checkpoint image into `out` (cleared first),
+/// walking the shards directly rather than through a [`ShardsDump`].
+/// Every frame's CRC slot is left zero: [`seal_frames`] must run before
+/// the image is valid. The two halves are separate so the write path
+/// can time them apart.
+pub(crate) fn encode_frames(
+    out: &mut Vec<u8>,
+    meta: &MetaDump,
+    engine: &EngineDump,
+    shards: &[EngineShard],
+    pump: &ResumeState,
+) {
+    out.clear();
     out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    frame(&mut out, TAG_META, &encode_meta(&state.meta));
-    frame(&mut out, TAG_ENGINE, &encode_engine(&state.engine));
-    frame(&mut out, TAG_SHARDS, &encode_shards(&state.shards));
-    frame(&mut out, TAG_PUMP, &encode_pump(&state.pump));
-    frame(&mut out, TAG_END, &[]);
-    out
+    put_u32(out, VERSION);
+    put_frame(out, TAG_META, |o| put_meta(o, meta));
+    put_frame(out, TAG_ENGINE, |o| put_engine(o, engine));
+    put_frame(out, TAG_SHARDS, |o| put_shards(o, shards));
+    put_frame(out, TAG_PUMP, |o| put_pump(o, pump));
+    put_frame(out, TAG_END, |_| {});
+}
+
+/// Fills in the CRC-32 of every frame of an [`encode_frames`] image,
+/// walking the frames by their length fields.
+pub(crate) fn seal_frames(image: &mut [u8]) {
+    let mut at = FILE_HEADER;
+    while at < image.len() {
+        let len = u64::from_le_bytes(image[at + 4..at + 12].try_into().unwrap()) as usize;
+        let payload = at + FRAME_HEADER;
+        let crc = crc32(&image[payload..payload + len]);
+        image[at + 12..payload].copy_from_slice(&crc.to_le_bytes());
+        at = payload + len;
+    }
 }
 
 /// Parses and validates a checkpoint file image. Strict: bad magic or
@@ -1042,6 +1259,12 @@ pub(crate) fn checkpoint_file_name(consumed: u64) -> String {
 /// names (including temp files) are ignored; a missing directory is an
 /// empty list.
 pub(crate) fn list_checkpoints(dir: &Path) -> Vec<PathBuf> {
+    list_named(dir, ".slim")
+}
+
+/// Files in `dir` named `ckpt-*<suffix>`, sorted by name (empty for a
+/// missing directory).
+fn list_named(dir: &Path, suffix: &str) -> Vec<PathBuf> {
     let Ok(entries) = fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -1051,7 +1274,7 @@ pub(crate) fn list_checkpoints(dir: &Path) -> Vec<PathBuf> {
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".slim"))
+                .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(suffix))
         })
         .collect();
     files.sort();
@@ -1075,19 +1298,23 @@ pub(crate) fn apply_fault(bytes: &mut Vec<u8>, plan: &FaultPlan) {
 
 /// Atomically installs `bytes` as the checkpoint for `consumed` events:
 /// temp file in the same directory, fsync, rename, best-effort
-/// directory fsync. Returns the installed size in bytes.
+/// directory fsync. Returns the installed size in bytes. On failure the
+/// temp file is removed again.
 pub(crate) fn write_atomic(dir: &Path, consumed: u64, bytes: &[u8]) -> Result<u64, String> {
     fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let final_path = dir.join(checkpoint_file_name(consumed));
-    let tmp_path = dir.join(format!("ckpt-{consumed:020}.slim.tmp"));
-    let mut f =
-        fs::File::create(&tmp_path).map_err(|e| format!("creating {}: {e}", tmp_path.display()))?;
-    f.write_all(bytes)
-        .and_then(|()| f.sync_all())
-        .map_err(|e| format!("writing {}: {e}", tmp_path.display()))?;
-    drop(f);
-    fs::rename(&tmp_path, &final_path)
-        .map_err(|e| format!("installing {}: {e}", final_path.display()))?;
+    let tmp_path = dir.join(format!("{}{TMP_SUFFIX}", checkpoint_file_name(consumed)));
+    let installed = fs::File::create(&tmp_path)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .map_err(|e| format!("writing {}: {e}", tmp_path.display()))
+        .and_then(|()| {
+            fs::rename(&tmp_path, &final_path)
+                .map_err(|e| format!("installing {}: {e}", final_path.display()))
+        });
+    if let Err(e) = installed {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
+    }
     // Persist the rename itself; failure here only risks losing the
     // *newest* checkpoint to a power cut, which recovery tolerates.
     if let Ok(d) = fs::File::open(dir) {
@@ -1097,17 +1324,19 @@ pub(crate) fn write_atomic(dir: &Path, consumed: u64, bytes: &[u8]) -> Result<u6
 }
 
 /// Prunes all but the newest `keep` checkpoints in `dir` (oldest
-/// first). Returns how many files were removed.
+/// first), plus every stale temp file a crashed write left behind (the
+/// engine is the directory's only writer, and its own temp file is
+/// renamed away before pruning runs). Returns how many files were
+/// removed.
 pub(crate) fn prune_old(dir: &Path, keep: usize) -> u64 {
     let files = list_checkpoints(dir);
     let excess = files.len().saturating_sub(keep.max(1));
-    let mut removed = 0;
-    for path in &files[..excess] {
-        if fs::remove_file(path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
+    let stale = list_named(dir, TMP_SUFFIX);
+    files[..excess]
+        .iter()
+        .chain(&stale)
+        .filter(|path| fs::remove_file(path).is_ok())
+        .count() as u64
 }
 
 /// Loads the newest checkpoint in `dir` that passes validation,
@@ -1143,172 +1372,304 @@ pub(crate) fn load_latest(dir: &Path) -> Result<(CheckpointState, u64), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StorageMode;
+    use crate::StreamEngine;
 
-    fn sample_state() -> CheckpointState {
+    /// The bit-at-a-time CRC-32 the table version must reproduce.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    fn cell() -> CellId {
+        CellId::from_latlng(LatLng::from_degrees(41.0, 29.0), 12)
+    }
+
+    fn binned(side: Side, entity: u64, w: WindowIdx) -> BinnedEvent {
+        BinnedEvent {
+            side,
+            entity: EntityId(entity),
+            w,
+            cells: vec![cell()],
+            lsh_cells: Vec::new(),
+        }
+    }
+
+    /// Shard state with every collection non-empty, spread over
+    /// `n` shards by entity id (pairs by their left entity) — any
+    /// spread must encode to the same bytes.
+    fn sample_shards(n: usize) -> Vec<EngineShard> {
+        let mut shards: Vec<EngineShard> = (0..n)
+            .map(|_| EngineShard::new(StorageMode::Arena, true))
+            .collect();
+        let home = |e: u64| e as usize % n;
+        let c = cell();
+        for (e, wins) in [(7u64, vec![0, 1]), (2, vec![1])] {
+            let counts: Vec<u32> = wins.iter().map(|&w| w + 1).collect();
+            shards[home(e)].histories[0].restore_entity(
+                EntityId(e),
+                HistoryDump {
+                    cells: vec![c; wins.len()],
+                    window_records: wins.iter().copied().zip(counts.iter().copied()).collect(),
+                    wins,
+                    counts,
+                },
+            );
+        }
+        shards[home(3)].histories[1].restore_entity(
+            EntityId(3),
+            HistoryDump {
+                wins: vec![0],
+                cells: vec![c],
+                counts: vec![1],
+                window_records: vec![(0, 1)],
+            },
+        );
+        for e in [9u64, 4] {
+            shards[home(e)].pending[0].insert(EntityId(e), vec![binned(Side::Left, e, 1)]);
+        }
+        shards[home(7)].live_events[0].insert(EntityId(7), vec![binned(Side::Left, 7, 0)]);
+        for e in [7u64, 2] {
+            shards[home(e)].active[0].insert(EntityId(e));
+        }
+        shards[home(3)].active[1].insert(EntityId(3));
+        shards[home(7)].dirty[0].insert(EntityId(7), [0, 1].into());
+        shards[home(5)].dead[1].insert(EntityId(5));
+        for (side, e) in [(Side::Right, 3u64), (Side::Left, 7)] {
+            shards[home(e)].rings.restore(RingDump {
+                side,
+                entity: EntityId(e),
+                slots: vec![vec![(0, c, 2)], Vec::new()],
+                owners: vec![Some(0), None],
+                sig: vec![Some(c), None],
+            });
+        }
+        for (l, r) in [(7u64, 3u64), (2, 3)] {
+            let pair = (EntityId(l), EntityId(r));
+            let sh = &mut shards[home(l)];
+            sh.cache.insert(pair, [(0, 0.5), (1, 0.25)].into());
+            sh.fresh.insert(pair);
+            sh.edges.insert(pair, 0.75);
+            sh.edge_deltas.insert(pair, (l == 7).then_some(0.8));
+        }
+        shards
+    }
+
+    fn sample_pump() -> ResumeState {
         let ev = StreamEvent::new(
             Side::Left,
             EntityId(7),
             LatLng::from_degrees(41.0, 29.0),
             Timestamp(1234),
         );
-        let cell = CellId::from_latlng(LatLng::from_degrees(41.0, 29.0), 12);
-        CheckpointState {
-            meta: MetaDump {
-                consumed: 42,
-                fingerprint: ConfigFingerprint::of(&StreamConfig::default()),
-            },
-            engine: EngineDump {
+        ResumeState {
+            consumed: 42,
+            reorder_max_seen: Some(1234),
+            reorder_held: vec![ev],
+            reorder_late: 1,
+            ticker: TickerDump::Watermark {
+                width: 3600,
                 origin: Some(1000),
-                domain: 5,
-                watermark: 2,
-                expired_below: 1,
-                events_since_refresh: 3,
-                stats: StreamStats {
-                    events: 42,
-                    ticks: 2,
-                    ..StreamStats::default()
-                },
-                scoring: LinkageStats {
-                    scored_entity_pairs: 9,
-                    ..LinkageStats::default()
-                },
-                links: vec![Edge {
-                    left: EntityId(1),
-                    right: EntityId(2),
-                    weight: 0.75,
-                }],
-                epoch_events: 40,
-                epoch_threshold: Some(0.5),
-                epoch_frontier: Some(999),
-                matcher_edges: vec![Edge {
-                    left: EntityId(1),
-                    right: EntityId(2),
-                    weight: 0.75,
-                }],
-                warm_seed: Some(Gmm2 {
-                    low: Component {
-                        weight: 0.4,
-                        mean: 0.1,
-                        std_dev: 0.05,
-                    },
-                    high: Component {
-                        weight: 0.6,
-                        mean: 0.8,
-                        std_dev: 0.1,
-                    },
-                    avg_log_likelihood: -1.25,
-                    iterations: 17,
-                }),
-                df: [
-                    DfDump {
-                        entries: vec![(0, cell, 3)],
-                        total_bins: 3,
-                        num_entities: 1,
-                    },
-                    DfDump::default(),
-                ],
-            },
-            shards: ShardsDump {
-                histories: [
-                    vec![(
-                        EntityId(7),
-                        HistoryDump {
-                            wins: vec![0, 1],
-                            cells: vec![cell, cell],
-                            counts: vec![2, 1],
-                            window_records: vec![(0, 2), (1, 1)],
-                        },
-                    )],
-                    Vec::new(),
-                ],
-                pending: [
-                    vec![(
-                        EntityId(9),
-                        vec![BinnedEvent {
-                            side: Side::Left,
-                            entity: EntityId(9),
-                            w: 1,
-                            cells: vec![cell],
-                            lsh_cells: Vec::new(),
-                        }],
-                    )],
-                    Vec::new(),
-                ],
-                live_events: [Vec::new(), Vec::new()],
-                active: [vec![EntityId(7)], vec![EntityId(3)]],
-                dirty: [vec![(EntityId(7), vec![0, 1])], Vec::new()],
-                dead: [Vec::new(), vec![EntityId(5)]],
-                rings: vec![RingDump {
-                    side: Side::Left,
-                    entity: EntityId(7),
-                    slots: vec![vec![(0, cell, 2)], Vec::new()],
-                    owners: vec![Some(0), None],
-                    sig: vec![Some(cell), None],
-                }],
-                cache: vec![((EntityId(7), EntityId(3)), vec![(0, 0.5), (1, 0.25)])],
-                fresh: vec![(EntityId(7), EntityId(3))],
-                edges: vec![((EntityId(7), EntityId(3)), 0.75)],
-                edge_deltas: vec![((EntityId(7), EntityId(3)), Some(0.8))],
-            },
-            pump: ResumeState {
-                consumed: 42,
-                reorder_max_seen: Some(1234),
-                reorder_held: vec![ev],
-                reorder_late: 1,
-                ticker: TickerDump::Watermark {
-                    width: 3600,
-                    origin: Some(1000),
-                    sealed_below: 2,
-                    pending: vec![ev],
-                },
+                sealed_below: 2,
+                pending: vec![ev],
             },
         }
     }
 
-    /// Field-by-field equality of two checkpoint states, via the
-    /// canonical wire form (the structs hold floats, so the bit-exact
-    /// comparison the format guarantees *is* encoded equality).
-    fn assert_same(a: &CheckpointState, b: &CheckpointState) {
-        assert_eq!(encode(a), encode(b));
+    /// A complete, sealed image of [`sample_shards`] plus engine-global
+    /// and pump state.
+    fn sample_image(num_shards: usize) -> Vec<u8> {
+        let edge = Edge {
+            left: EntityId(7),
+            right: EntityId(3),
+            weight: 0.75,
+        };
+        let meta = MetaDump {
+            consumed: 42,
+            fingerprint: ConfigFingerprint::of(&StreamConfig::default()),
+        };
+        let engine = EngineDump {
+            origin: Some(1000),
+            domain: 5,
+            watermark: 2,
+            expired_below: 1,
+            events_since_refresh: 3,
+            stats: StreamStats {
+                events: 42,
+                ticks: 2,
+                snapshots_published: 2,
+                ..StreamStats::default()
+            },
+            scoring: LinkageStats {
+                scored_entity_pairs: 9,
+                ..LinkageStats::default()
+            },
+            links: vec![edge],
+            epoch_events: 40,
+            epoch_threshold: Some(0.5),
+            epoch_frontier: Some(999),
+            matcher_edges: vec![edge],
+            warm_seed: Some(Gmm2 {
+                low: Component {
+                    weight: 0.4,
+                    mean: 0.1,
+                    std_dev: 0.05,
+                },
+                high: Component {
+                    weight: 0.6,
+                    mean: 0.8,
+                    std_dev: 0.1,
+                },
+                avg_log_likelihood: -1.25,
+                iterations: 17,
+            }),
+            df: [
+                DfDump {
+                    entries: vec![(0, cell(), 3)],
+                    total_bins: 3,
+                    num_entities: 1,
+                },
+                DfDump::default(),
+            ],
+        };
+        let mut image = Vec::new();
+        encode_frames(
+            &mut image,
+            &meta,
+            &engine,
+            &sample_shards(num_shards),
+            &sample_pump(),
+        );
+        seal_frames(&mut image);
+        image
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("slim-ckpt-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn table_crc_matches_bitwise_reference() {
+        let buf: Vec<u8> = (0..9000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+        for start in 0..8 {
+            let s = &buf[start..];
+            assert_eq!(crc32(s), crc32_bitwise(s), "multi-KB at start {start}");
+        }
+    }
+
+    #[test]
+    fn frames_are_sealed_in_place() {
+        let image = sample_image(1);
+        let mut at = FILE_HEADER;
+        let mut tags = Vec::new();
+        while at < image.len() {
+            let tag = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(image[at + 4..at + 12].try_into().unwrap()) as usize;
+            let crc = u32::from_le_bytes(image[at + 12..at + 16].try_into().unwrap());
+            let payload = &image[at + FRAME_HEADER..at + FRAME_HEADER + len];
+            assert_eq!(crc, crc32_bitwise(payload), "frame tag {tag}");
+            tags.push(tag);
+            at += FRAME_HEADER + len;
+        }
+        assert_eq!(tags, [TAG_META, TAG_ENGINE, TAG_SHARDS, TAG_PUMP, TAG_END]);
+    }
+
+    #[test]
+    fn encoding_is_shard_agnostic() {
+        let one = sample_image(1);
+        for n in [2, 3, 5] {
+            assert_eq!(sample_image(n), one, "{n} shards");
+        }
     }
 
     #[test]
     fn encode_decode_round_trips() {
-        let state = sample_state();
-        let bytes = encode(&state);
-        let back = decode(&bytes).expect("round trip");
-        assert_same(&state, &back);
-        assert_eq!(back.meta.consumed, 42);
-        assert_eq!(back.pump.reorder_held.len(), 1);
+        let image = sample_image(2);
+        let state = decode(&image).expect("round trip");
+        assert_eq!(state.meta.consumed, 42);
+        assert_eq!(state.pump.reorder_held.len(), 1);
+        let s = &state.shards;
+        let ids = |v: &[(EntityId, HistoryDump)]| v.iter().map(|(e, _)| e.0).collect::<Vec<_>>();
+        assert_eq!(ids(&s.histories[0]), [2, 7], "canonical entity order");
+        assert_eq!(s.histories[0][1].1.wins, [0, 1]);
+        assert_eq!(s.histories[0][1].1.window_records, [(0, 1), (1, 2)]);
+        assert_eq!(
+            s.pending[0].iter().map(|(e, _)| e.0).collect::<Vec<_>>(),
+            [4, 9]
+        );
+        assert_eq!(s.live_events[0].len(), 1);
+        assert_eq!(
+            s.active,
+            [vec![EntityId(2), EntityId(7)], vec![EntityId(3)]]
+        );
+        assert_eq!(s.dirty[0], [(EntityId(7), vec![0, 1])]);
+        assert_eq!(s.dead[1], [EntityId(5)]);
+        let rings: Vec<_> = s.rings.iter().map(|r| (r.side, r.entity.0)).collect();
+        assert_eq!(rings, [(Side::Left, 7), (Side::Right, 3)]);
+        assert_eq!(s.rings[0].slots[0], [(0, cell(), 2)]);
+        assert_eq!(s.cache[1].1, [(0, 0.5), (1, 0.25)]);
+        assert_eq!(s.fresh.len(), 2);
+        assert_eq!(s.edges[0], ((EntityId(2), EntityId(3)), 0.75));
+        assert_eq!(s.edge_deltas[0].1, None);
+        assert_eq!(s.edge_deltas[1].1, Some(0.8));
+
+        // Recovered into engines of any shard count, the state encodes
+        // back to the very same bytes.
+        let dir = temp_dir("rt");
+        write_atomic(&dir, 42, &image).unwrap();
+        for shards in [1, 4] {
+            let cfg = StreamConfig {
+                num_shards: shards,
+                ..StreamConfig::default()
+            };
+            let mut engine = StreamEngine::recover(cfg, &dir).expect("recover");
+            let pump = engine.take_resume_state().expect("resume state");
+            assert_eq!(engine.checkpoint_image(&pump), image, "{shards} shards");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn every_single_bit_flip_is_detected_or_harmless() {
-        let state = sample_state();
-        let bytes = encode(&state);
+        let bytes = sample_image(1);
         // Flip one bit at a sample of offsets across the file: decode
-        // must either reject (Err) or — never — silently change state.
+        // must reject (Err) — never silently accept a changed file.
         for off in (0..bytes.len()).step_by(7) {
             let mut corrupt = bytes.clone();
             corrupt[off] ^= 0x10;
-            match decode(&corrupt) {
-                Err(_) => {}
-                Ok(back) => panic!(
-                    "bit flip at offset {off} decoded successfully ({})",
-                    if encode(&back) == bytes {
-                        "same state?!"
-                    } else {
-                        "DIFFERENT state"
-                    }
-                ),
-            }
+            assert!(
+                decode(&corrupt).is_err(),
+                "bit flip at offset {off} decoded successfully"
+            );
         }
     }
 
     #[test]
     fn truncation_at_any_length_is_an_error_not_a_panic() {
-        let state = sample_state();
-        let bytes = encode(&state);
+        let bytes = sample_image(1);
         for len in (0..bytes.len()).step_by(11) {
             assert!(decode(&bytes[..len]).is_err(), "truncated to {len}");
         }
@@ -1317,7 +1678,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut bytes = encode(&sample_state());
+        let mut bytes = sample_image(1);
         bytes.push(0);
         assert!(decode(&bytes).is_err());
     }
@@ -1338,20 +1699,28 @@ mod tests {
         assert!(fp.check(&sharded).is_ok());
     }
 
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_str().unwrap().to_string())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn atomic_write_lists_and_prunes_in_order() {
-        let dir = std::env::temp_dir().join(format!("slim-ckpt-gc-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let bytes = encode(&sample_state());
+        let dir = temp_dir("gc");
+        let bytes = sample_image(1);
         for consumed in [100u64, 300, 200, 400] {
             write_atomic(&dir, consumed, &bytes).unwrap();
         }
-        let names: Vec<String> = list_checkpoints(&dir)
+        let listed: Vec<String> = list_checkpoints(&dir)
             .iter()
             .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
             .collect();
         assert_eq!(
-            names,
+            listed,
             vec![
                 checkpoint_file_name(100),
                 checkpoint_file_name(200),
@@ -1361,34 +1730,63 @@ mod tests {
             "lexical order is numeric order"
         );
         assert_eq!(prune_old(&dir, 2), 2, "two oldest pruned");
-        let names: Vec<String> = list_checkpoints(&dir)
-            .iter()
-            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
-            .collect();
+        // Newest K survive, and no temp files are left behind.
         assert_eq!(
-            names,
+            names(&dir),
             vec![checkpoint_file_name(300), checkpoint_file_name(400)],
-            "newest K survive"
         );
-        // No temp files left behind.
-        assert!(fs::read_dir(&dir).unwrap().all(|e| !e
-            .unwrap()
-            .file_name()
-            .to_str()
-            .unwrap()
-            .ends_with(".tmp")));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pruning_removes_stale_temp_files() {
+        let dir = temp_dir("tmp");
+        let bytes = sample_image(1);
+        for consumed in [100u64, 200] {
+            write_atomic(&dir, consumed, &bytes).unwrap();
+        }
+        // Temp files a crashed write left behind, older and newer than
+        // the installed checkpoints, plus an unrelated file.
+        for name in [
+            format!("{}{TMP_SUFFIX}", checkpoint_file_name(50)),
+            format!("{}{TMP_SUFFIX}", checkpoint_file_name(300)),
+            "notes.tmp".to_string(),
+        ] {
+            fs::write(dir.join(name), &bytes[..bytes.len() / 2]).unwrap();
+        }
+        assert_eq!(prune_old(&dir, 2), 2, "both stale temp files removed");
+        assert_eq!(
+            names(&dir),
+            vec![
+                checkpoint_file_name(100),
+                checkpoint_file_name(200),
+                "notes.tmp".to_string(),
+            ],
+            "valid checkpoints and foreign files stay"
+        );
+        let (state, rejected) = load_latest(&dir).expect("checkpoints still load");
+        assert_eq!((state.meta.consumed, rejected), (42, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        let dir = temp_dir("fail");
+        // A directory squatting on the final name makes the rename fail
+        // after the temp file was written and synced.
+        fs::create_dir_all(dir.join(checkpoint_file_name(100)).join("occupied")).unwrap();
+        assert!(write_atomic(&dir, 100, &sample_image(1)).is_err());
+        assert_eq!(names(&dir), vec![checkpoint_file_name(100)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn load_latest_falls_back_past_corruption() {
-        let dir = std::env::temp_dir().join(format!("slim-ckpt-fb-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut good = sample_state();
-        good.meta.consumed = 100;
-        write_atomic(&dir, 100, &encode(&good)).unwrap();
+        let dir = temp_dir("fb");
+        let good = sample_image(1);
+        write_atomic(&dir, 100, &good).unwrap();
         // Newest checkpoint: torn mid-frame.
-        let mut torn = encode(&sample_state());
+        let mut torn = good.clone();
         let plan = FaultPlan {
             torn_write_after: Some(torn.len() as u64 / 2),
             ..FaultPlan::default()
@@ -1396,7 +1794,7 @@ mod tests {
         apply_fault(&mut torn, &plan);
         write_atomic(&dir, 200, &torn).unwrap();
         // Even newer: bit-flipped.
-        let mut flipped = encode(&sample_state());
+        let mut flipped = good.clone();
         let flip_plan = FaultPlan {
             bit_flip_at: Some(flipped.len() as u64 - 30),
             ..FaultPlan::default()
@@ -1407,7 +1805,7 @@ mod tests {
         write_atomic(&dir, 400, &[]).unwrap();
 
         let (state, rejected) = load_latest(&dir).expect("fallback finds the good one");
-        assert_eq!(state.meta.consumed, 100);
+        assert_eq!(state.meta.consumed, 42);
         assert_eq!(rejected, 3, "three newer files rejected");
 
         // All-corrupt directory: an error, not a panic.

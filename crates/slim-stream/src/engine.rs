@@ -384,6 +384,10 @@ pub struct StreamEngine {
     /// Pump-side resume state loaded by [`StreamEngine::recover`],
     /// consumed by the next drive.
     resume: Option<ResumeState>,
+    /// The checkpoint image buffer, reused across the checkpoints of a
+    /// drive so a write never regrows it from empty; released when the
+    /// drive ends.
+    checkpoint_buf: Vec<u8>,
 }
 
 impl StreamEngine {
@@ -426,6 +430,7 @@ impl StreamEngine {
             checkpoint: None,
             fault_plan: FaultPlan::default(),
             resume: None,
+            checkpoint_buf: Vec::new(),
         })
     }
 
@@ -674,6 +679,10 @@ impl StreamEngine {
     /// retention count. `corrupt` applies the fault plan's torn-write /
     /// bit-flip corruption to the image first (the harness's
     /// crash-mid-write simulation). No-op without a policy.
+    ///
+    /// The image is encoded straight from shard state into one buffer
+    /// reused across checkpoints; with telemetry on, the encode, CRC,
+    /// and durable-write spans are recorded beside the total.
     pub(crate) fn write_checkpoint(
         &mut self,
         pump: ResumeState,
@@ -682,111 +691,111 @@ impl StreamEngine {
         let Some(policy) = self.checkpoint.clone() else {
             return Ok(());
         };
-        let t0 = self.tel.enabled.then(|| self.tel.now_ns());
-        let consumed = pump.consumed;
-        let state = self.capture_state(pump);
-        let mut bytes = checkpoint::encode(&state);
+        let timed = self.tel.enabled;
+        let clock = |tel: &EngineTelemetry| if timed { tel.now_ns() } else { 0 };
+        let t0 = clock(&self.tel);
+        let mut image = std::mem::take(&mut self.checkpoint_buf);
+        self.encode_checkpoint(&pump, &mut image);
+        let t1 = clock(&self.tel);
+        checkpoint::seal_frames(&mut image);
+        let t2 = clock(&self.tel);
         if corrupt {
-            checkpoint::apply_fault(&mut bytes, &self.fault_plan);
+            checkpoint::apply_fault(&mut image, &self.fault_plan);
         }
-        let written = checkpoint::write_atomic(&policy.dir, consumed, &bytes)?;
+        let written = checkpoint::write_atomic(&policy.dir, pump.consumed, &image);
+        let t3 = clock(&self.tel);
+        self.checkpoint_buf = image;
+        let written = written?;
         checkpoint::prune_old(&policy.dir, policy.keep);
         self.stats.checkpoints_written += 1;
         self.stats.checkpoint_bytes += written;
-        if let Some(t0) = t0 {
-            let span = self.tel.now_ns().saturating_sub(t0);
-            self.tel.checkpoint_write.record(span);
+        if timed {
+            let t4 = self.tel.now_ns();
+            self.tel.checkpoint_encode.record(t1.saturating_sub(t0));
+            self.tel.checkpoint_crc.record(t2.saturating_sub(t1));
+            self.tel.checkpoint_sync.record(t3.saturating_sub(t2));
+            self.tel.checkpoint_write.record(t4.saturating_sub(t0));
         }
         Ok(())
     }
 
-    /// Freezes the engine into its checkpoint image. Shard state is
-    /// merged into globally sorted collections (the image is
-    /// shard-agnostic); the published epoch's scalars are read back
-    /// from the epoch pointer so recovery can republish it verbatim.
-    fn capture_state(&self, pump: ResumeState) -> CheckpointState {
-        let snap = self.epoch.load();
-        let mut shards = ShardsDump::default();
-        for shard in &self.shards {
-            for side in [Side::Left, Side::Right] {
-                let i = side.idx();
-                for e in shard.histories[i].entity_ids() {
-                    let dump = shard.histories[i]
-                        .export_entity(e)
-                        .expect("listed by entity_ids");
-                    shards.histories[i].push((e, dump));
-                }
-                shards.pending[i].extend(shard.pending[i].iter().map(|(&e, v)| (e, v.clone())));
-                shards.live_events[i]
-                    .extend(shard.live_events[i].iter().map(|(&e, v)| (e, v.clone())));
-                shards.active[i].extend(shard.active[i].iter().copied());
-                shards.dirty[i].extend(
-                    shard.dirty[i]
-                        .iter()
-                        .map(|(&e, ws)| (e, ws.iter().copied().collect::<Vec<_>>())),
-                );
-                shards.dead[i].extend(shard.dead[i].iter().copied());
-            }
-            shards.rings.extend(shard.rings.export());
-            shards.cache.extend(
-                shard
-                    .cache
-                    .iter()
-                    .map(|(&p, m)| (p, m.iter().map(|(&w, &v)| (w, v)).collect::<Vec<_>>())),
-            );
-            shards.fresh.extend(shard.fresh.iter().copied());
-            shards
-                .edges
-                .extend(shard.edges.iter().map(|(&p, &w)| (p, w)));
-            shards
-                .edge_deltas
-                .extend(shard.edge_deltas.iter().map(|(&p, &w)| (p, w)));
-        }
-        // Canonical global order: the image must be byte-identical for
-        // every shard count (and the per-shard maps iterate in hash
-        // order anyway).
-        for i in 0..2 {
-            shards.histories[i].sort_unstable_by_key(|&(e, _)| e);
-            shards.pending[i].sort_unstable_by_key(|&(e, _)| e);
-            shards.live_events[i].sort_unstable_by_key(|&(e, _)| e);
-            shards.active[i].sort_unstable();
-            shards.dirty[i].sort_unstable_by_key(|&(e, _)| e);
-            shards.dead[i].sort_unstable();
-        }
-        shards.rings.sort_unstable_by_key(|d| (d.side, d.entity));
-        shards.cache.sort_unstable_by_key(|&(p, _)| p);
-        shards.fresh.sort_unstable();
-        shards.edges.sort_unstable_by_key(|&(p, _)| p);
-        shards.edge_deltas.sort_unstable_by_key(|&(p, _)| p);
+    /// Frees the checkpoint image buffer at the end of a drive: the
+    /// engine may outlive the drive by a long way (serving, finalizing,
+    /// or beside a recovery) and need not hold an image's worth of
+    /// memory meanwhile.
+    pub(crate) fn release_checkpoint_buffer(&mut self) {
+        self.checkpoint_buf = Vec::new();
+    }
 
-        CheckpointState {
-            meta: MetaDump {
-                consumed: pump.consumed,
-                fingerprint: ConfigFingerprint::of(&self.cfg),
+    /// Writes the engine's checkpoint image (frames unsealed, see
+    /// [`checkpoint::encode_frames`]) into `out`. Shard state is walked
+    /// in place and emitted in canonical global order, so the image is
+    /// shard-agnostic; the published epoch's scalars are read back from
+    /// the epoch pointer so recovery can republish it verbatim.
+    fn encode_checkpoint(&self, pump: &ResumeState, out: &mut Vec<u8>) {
+        let snap = self.epoch.load();
+        let meta = MetaDump {
+            consumed: pump.consumed,
+            fingerprint: ConfigFingerprint::of(&self.cfg),
+        };
+        let engine = EngineDump {
+            origin: self.scheme.as_ref().map(|s| s.window_start(0).secs()),
+            domain: self.domain,
+            watermark: self.watermark,
+            expired_below: self.expired_below,
+            events_since_refresh: self.events_since_refresh as u64,
+            // The scheduling counters (where and when pool chunks ran,
+            // per-shard arena fill) are the ones the bit-identity
+            // contract leaves free, and recovery re-derives them from
+            // its own pool and arenas. They travel as zero, so the
+            // image depends on the consumed stream alone — the same
+            // bytes for every shard and worker count.
+            stats: StreamStats {
+                arena_compactions: 0,
+                steal_events: 0,
+                max_worker_busy_ns: 0,
+                min_worker_busy_ns: 0,
+                ..self.stats
             },
-            engine: EngineDump {
-                origin: self.scheme.as_ref().map(|s| s.window_start(0).secs()),
-                domain: self.domain,
-                watermark: self.watermark,
-                expired_below: self.expired_below,
-                events_since_refresh: self.events_since_refresh as u64,
-                stats: self.stats,
-                scoring: self.scoring_stats,
-                links: self.links.clone(),
-                epoch_events: snap.events,
-                epoch_threshold: snap.threshold,
-                epoch_frontier: snap.frontier.map(|t| t.secs()),
-                matcher_edges: self.matcher.edges_sorted(),
-                warm_seed: self.threshold_state.warm_seed(),
-                df: [0, 1].map(|i| DfDump {
-                    entries: self.df[i].sorted_entries(),
-                    total_bins: self.df[i].total_bins() as u64,
-                    num_entities: self.df[i].num_entities() as u64,
-                }),
-            },
-            shards,
-            pump,
+            scoring: self.scoring_stats,
+            links: self.links.clone(),
+            epoch_events: snap.events,
+            epoch_threshold: snap.threshold,
+            epoch_frontier: snap.frontier.map(|t| t.secs()),
+            matcher_edges: self.matcher.edges_sorted(),
+            warm_seed: self.threshold_state.warm_seed(),
+            df: [0, 1].map(|i| DfDump {
+                entries: self.df[i].sorted_entries(),
+                total_bins: self.df[i].total_bins() as u64,
+                num_entities: self.df[i].num_entities() as u64,
+            }),
+        };
+        checkpoint::encode_frames(out, &meta, &engine, &self.shards, pump);
+    }
+
+    /// A complete, sealed checkpoint image of the current state plus
+    /// `pump` — the in-memory half of [`StreamEngine::write_checkpoint`].
+    #[cfg(test)]
+    pub(crate) fn checkpoint_image(&self, pump: &ResumeState) -> Vec<u8> {
+        let mut image = Vec::new();
+        self.encode_checkpoint(pump, &mut image);
+        checkpoint::seal_frames(&mut image);
+        image
+    }
+
+    /// Writes a checkpoint of a freshly recovered engine — its restored
+    /// state plus the pump state its next drive would resume from —
+    /// into its policy directory. Errors without a pending resume state
+    /// or a policy.
+    pub(crate) fn checkpoint_resume_point(&mut self) -> Result<(), String> {
+        let pump = self
+            .resume
+            .clone()
+            .ok_or("no recovered state awaits a resume")?;
+        if self.checkpoint.is_none() {
+            return Err("no checkpoint policy installed".into());
         }
+        self.write_checkpoint(pump, false)
     }
 
     /// Rebuilds an engine from the newest valid checkpoint in `dir`,
@@ -807,7 +816,7 @@ impl StreamEngine {
         Ok(engine)
     }
 
-    /// The recovery inverse of [`StreamEngine::capture_state`]:
+    /// The recovery inverse of [`StreamEngine::encode_checkpoint`]:
     /// redistributes the merged dumps across this engine's shards by
     /// the deterministic entity hash and rebuilds every derived
     /// structure (window membership, adjacency, bucket partitions,
@@ -1082,10 +1091,22 @@ impl StreamEngine {
         self.tel.query_latency.clone()
     }
 
-    /// The per-checkpoint write-span histogram (serialize + temp file +
-    /// fsync + rename), recorded at the checkpoint cadence.
+    /// The per-checkpoint write-span histogram (encode + CRC + temp
+    /// file + fsync + rename + prune), recorded at the checkpoint
+    /// cadence.
     pub fn checkpoint_write_histogram(&self) -> Histogram {
         self.tel.checkpoint_write.clone()
+    }
+
+    /// The parts of each checkpoint write by series name: encoding the
+    /// image, its frame CRCs, and the durable write (temp file + fsync
+    /// + rename + directory fsync).
+    pub fn checkpoint_part_histograms(&self) -> [(&'static str, Histogram); 3] {
+        [
+            ("checkpoint_encode", self.tel.checkpoint_encode.clone()),
+            ("checkpoint_crc", self.tel.checkpoint_crc.clone()),
+            ("checkpoint_sync", self.tel.checkpoint_sync.clone()),
+        ]
     }
 
     /// The clock the telemetry layer reads (shared with the pump so
@@ -1142,6 +1163,9 @@ impl StreamEngine {
         reg.histogram_set("frontier_lag", self.tel.frontier_lag.clone());
         reg.histogram_set("query_latency", self.tel.query_latency.clone());
         reg.histogram_set("checkpoint_write", self.tel.checkpoint_write.clone());
+        for (name, h) in self.checkpoint_part_histograms() {
+            reg.histogram_set(name, h);
+        }
         reg.histogram_set("worker_busy", self.pool.busy_histogram());
         reg
     }

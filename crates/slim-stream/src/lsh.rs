@@ -70,7 +70,7 @@ impl LshGeometry {
 /// Per-entity ring state: raw counts per slot plus the current
 /// signature derived from them.
 #[derive(Debug, Clone)]
-struct SpanRing {
+pub(crate) struct SpanRing {
     /// Per slot: `(window, cell)` → record count. Keeping the window in
     /// the key lets expiry remove exactly one window's contribution.
     slots: Vec<BTreeMap<(WindowIdx, CellId), u32>>,
@@ -83,6 +83,21 @@ struct SpanRing {
 }
 
 impl SpanRing {
+    /// Per-slot `(window, cell)` → record count maps (checkpoint read).
+    pub(crate) fn slots(&self) -> &[BTreeMap<(WindowIdx, CellId), u32>] {
+        &self.slots
+    }
+
+    /// The span owning each slot (checkpoint read).
+    pub(crate) fn owners(&self) -> &[Option<u32>] {
+        &self.owners
+    }
+
+    /// The derived signature (checkpoint read).
+    pub(crate) fn sig(&self) -> &[Option<CellId>] {
+        &self.sig
+    }
+
     fn new(spans: usize) -> Self {
         Self {
             slots: vec![BTreeMap::new(); spans],
@@ -215,30 +230,14 @@ impl ShardRings {
         })
     }
 
-    /// Every ring's raw state in canonical `(side, entity)` order — the
-    /// checkpoint export (the internal map iterates in hash order).
-    pub(crate) fn export(&self) -> Vec<RingDump> {
-        let mut out: Vec<RingDump> = self
-            .rings
-            .iter()
-            .map(|(&(side, entity), ring)| RingDump {
-                side,
-                entity,
-                slots: ring
-                    .slots
-                    .iter()
-                    .map(|slot| slot.iter().map(|(&(w, c), &n)| (w, c, n)).collect())
-                    .collect(),
-                owners: ring.owners.clone(),
-                sig: ring.sig.clone(),
-            })
-            .collect();
-        out.sort_by_key(|d| (d.side, d.entity));
-        out
+    /// Every ring with its raw state, in hash order — the checkpoint
+    /// encoder's walk (it sorts the keys into canonical order itself).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&(Side, EntityId), &SpanRing)> {
+        self.rings.iter()
     }
 
-    /// Restores one ring from a [`ShardRings::export`] dump — the
-    /// recovery inverse; the rebuilt ring answers `signature` and every
+    /// Restores one ring from its checkpoint dump — the recovery
+    /// inverse; the rebuilt ring answers `signature` and every
     /// subsequent `add`/`evict` exactly like the checkpointed one.
     pub(crate) fn restore(&mut self, dump: RingDump) {
         let ring = SpanRing {
@@ -259,10 +258,9 @@ impl ShardRings {
     }
 }
 
-/// One entity's raw ring state in serializable form (per-slot sorted
-/// `(window, cell, count)` entries, slot owners, derived signature) —
-/// the unit [`ShardRings::export`] emits and [`ShardRings::restore`]
-/// consumes.
+/// One entity's raw ring state as decoded from a checkpoint (per-slot
+/// sorted `(window, cell, count)` entries, slot owners, derived
+/// signature) — the unit [`ShardRings::restore`] consumes.
 #[derive(Debug, Clone)]
 pub(crate) struct RingDump {
     pub(crate) side: Side,

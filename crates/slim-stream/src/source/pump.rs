@@ -633,6 +633,7 @@ pub(crate) fn run<S: StreamSource + Send>(
         report.source_stalls = stalls;
         (result, stats, final_cap)
     });
+    engine.release_checkpoint_buffer();
     producer_result?;
     if let Some(fault) = fault {
         // A simulated crash: the engine is left exactly as the fault

@@ -186,40 +186,9 @@ impl HistoryStore {
         }
     }
 
-    /// One entity's history as canonical columns — the checkpoint
-    /// export, representation-independent: both layouts emit the same
-    /// `wins` ascending / cells-sorted-per-run columns plus the true
-    /// per-window record counts. `None` when absent.
-    pub(crate) fn export_entity(&self, e: EntityId) -> Option<HistoryDump> {
-        match self {
-            Self::Legacy(map) => {
-                let h = map.get(&e)?;
-                let mut dump = HistoryDump::default();
-                for w in h.windows() {
-                    for &(c, n) in h.bins_in(w) {
-                        dump.wins.push(w);
-                        dump.cells.push(c);
-                        dump.counts.push(n);
-                    }
-                }
-                dump.window_records = h.window_record_counts().collect();
-                Some(dump)
-            }
-            Self::Arena(arena) => {
-                let (wins, cells, counts, window_records) = arena.export_entity(e)?;
-                Some(HistoryDump {
-                    wins,
-                    cells,
-                    counts,
-                    window_records,
-                })
-            }
-        }
-    }
-
-    /// Restores one entity from a [`HistoryStore::export_entity`] dump
-    /// into a fresh store — the recovery inverse; round-trips
-    /// bit-identically for either layout.
+    /// Restores one entity from its checkpoint dump into a fresh store —
+    /// the recovery inverse of the checkpoint encoder's history walk;
+    /// round-trips bit-identically for either layout.
     pub(crate) fn restore_entity(&mut self, e: EntityId, dump: HistoryDump) {
         match self {
             Self::Legacy(map) => {
@@ -245,7 +214,7 @@ impl HistoryStore {
 /// one entry per bin, `cells` sorted within each window run, `counts`
 /// parallel, plus the true per-window record counts (they differ from
 /// the bin-count sum for region records). The layout-independent unit a
-/// checkpoint serializes.
+/// checkpoint serializes, and the form recovery decodes it into.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HistoryDump {
     pub(crate) wins: Vec<WindowIdx>,

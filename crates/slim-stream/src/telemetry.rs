@@ -120,9 +120,18 @@ pub(crate) struct EngineTelemetry {
     /// [`crate::StreamEngine::absorb_serve_report`] — never touched on
     /// the engine's hot paths.
     pub(crate) query_latency: Histogram,
-    /// Spans of each checkpoint write (serialize + temp file + fsync +
-    /// rename), recorded on the pump thread at the checkpoint cadence.
+    /// Spans of each checkpoint write (encode + CRC + temp file +
+    /// fsync + rename + prune), recorded on the pump thread at the
+    /// checkpoint cadence.
     pub(crate) checkpoint_write: Histogram,
+    /// The encode part of each checkpoint write: walking the engine
+    /// and shard state into the image buffer.
+    pub(crate) checkpoint_encode: Histogram,
+    /// The frame CRC-32 part of each checkpoint write.
+    pub(crate) checkpoint_crc: Histogram,
+    /// The durable part of each checkpoint write: temp file write,
+    /// fsync, rename, directory fsync.
+    pub(crate) checkpoint_sync: Histogram,
 }
 
 impl EngineTelemetry {
@@ -141,6 +150,9 @@ impl EngineTelemetry {
             score_kernel: Histogram::new(),
             query_latency: Histogram::new(),
             checkpoint_write: Histogram::new(),
+            checkpoint_encode: Histogram::new(),
+            checkpoint_crc: Histogram::new(),
+            checkpoint_sync: Histogram::new(),
         }
     }
 

@@ -237,6 +237,18 @@ impl FaultPlan {
     }
 }
 
+/// Writes a checkpoint of an engine fresh out of
+/// [`crate::StreamEngine::recover`] — its restored state plus the pump
+/// state its next drive would resume from — into the engine's
+/// checkpoint policy directory (install one first with
+/// [`crate::StreamEngine::set_checkpoint_policy`]). The format's
+/// fixed-point check: the new file must equal the one recovered from,
+/// byte for byte. Errors when the engine holds no recovered state or
+/// has no policy.
+pub fn checkpoint_recovered(engine: &mut crate::StreamEngine) -> Result<(), String> {
+    engine.checkpoint_resume_point()
+}
+
 /// A manually advanced monotone clock for rate-control tests. Cloning
 /// shares the underlying time, so a test can hold one handle while the
 /// source owns another.

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use slim::core::{EntityId, Timestamp};
 use slim::geo::LatLng;
-use slim::stream::testing::{FaultPlan, ScriptStep, ScriptedSource};
+use slim::stream::testing::{checkpoint_recovered, FaultPlan, ScriptStep, ScriptedSource};
 use slim::stream::{
     DriveOptions, EpochLog, LinkSnapshot, LinkUpdate, Side, StreamConfig, StreamEngine,
     StreamEvent, StreamStats, TickPolicy,
@@ -407,5 +407,85 @@ fn recovery_survives_bit_flips_and_rejects_total_corruption() {
         err.contains("no valid checkpoint") || err.contains("checkpoint"),
         "unexpected error: {err}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bit-at-a-time CRC-32 (IEEE), independent of the engine's table
+/// version.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// The single checkpoint file in `dir`.
+fn only_checkpoint(dir: &Path) -> Vec<u8> {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert_eq!(files.len(), 1, "one checkpoint in {}", dir.display());
+    std::fs::read(&files[0]).expect("read checkpoint")
+}
+
+/// Pins the on-disk format. The checkpoint a `fixed_workload` drive
+/// writes after 250 events is the same file for every shard and worker
+/// count, its length and CRC-32 are the constants below, and a
+/// recovered engine checkpointed straight away writes it again byte for
+/// byte.
+///
+/// The constants were recorded by running this test's drive at the
+/// commit before the checkpoint encoder walked shard state directly:
+/// that commit wrote this file from its 4×1 engine. Its 1×1 and 2×2
+/// files differed only in the scheduling counters (arena compactions,
+/// steal events, worker busy spread), which checkpoints now record as
+/// zero.
+#[test]
+fn checkpoint_format_is_pinned_and_shard_agnostic() {
+    const PINNED_LEN: usize = 20_788;
+    const PINNED_CRC: u32 = 0x138E_638E;
+    const AT: u64 = 250;
+    let events = fixed_workload(40);
+    let policy = TickPolicy::Watermark { max_lag_secs: 900 };
+
+    let mut images = Vec::new();
+    for (shards, workers) in [(1usize, 1usize), (2, 2), (4, 1)] {
+        let dir = temp_dir("pin");
+        let mut engine = StreamEngine::new(config(shards, workers)).expect("valid config");
+        engine.set_checkpoint_policy(dir.clone(), AT, 1);
+        engine.set_fault_plan(FaultPlan::kill_at(AT));
+        engine
+            .drive(source(&events), &options(policy))
+            .expect_err("killed");
+        images.push(((shards, workers), only_checkpoint(&dir)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    let reference = &images[0].1;
+    for (config, image) in &images {
+        assert!(image == reference, "{config:?} image differs from 1x1");
+    }
+    assert_eq!(reference.len(), PINNED_LEN, "checkpoint length");
+    assert_eq!(crc32(reference), PINNED_CRC, "checkpoint CRC-32");
+
+    let dir = temp_dir("pin-src");
+    std::fs::create_dir_all(&dir).expect("create dir");
+    std::fs::write(dir.join(format!("ckpt-{AT:020}.slim")), reference).expect("write");
+    for (shards, workers) in [(1usize, 1usize), (2, 2), (4, 1)] {
+        let mut engine = StreamEngine::recover(config(shards, workers), &dir).expect("recover");
+        let again = temp_dir("pin-again");
+        engine.set_checkpoint_policy(again.clone(), AT, 1);
+        checkpoint_recovered(&mut engine).expect("checkpoint the recovered engine");
+        assert!(
+            only_checkpoint(&again) == *reference,
+            "{shards}x{workers}: recover + checkpoint changed the image"
+        );
+        std::fs::remove_dir_all(&again).ok();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
