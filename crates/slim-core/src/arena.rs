@@ -40,9 +40,8 @@ use std::collections::HashMap;
 
 use geocell::CellId;
 
-use crate::history::MobilityHistory;
+use crate::history::{CellCounts, MobilityHistory};
 use crate::record::EntityId;
-use crate::tree::CellCounts;
 use crate::window::WindowIdx;
 
 /// Smallest tail chunk allocated for a fresh or relocated entity.

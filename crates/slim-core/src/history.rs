@@ -1,13 +1,17 @@
-//! Mobility histories: the paper's hierarchical summary representation.
+//! Mobility histories: the paper's summary representation.
 //!
 //! A mobility history distributes an entity's records over *time-location
 //! bins*: the leaf temporal windows each hold the set of spatial grid
 //! cells (at a configured level) the entity visited in that window,
-//! together with record counts; internal tree nodes aggregate those counts
-//! (see [`crate::tree`]). A [`HistorySet`] owns all histories of one
-//! dataset plus the dataset-level statistics the similarity score needs:
-//! average history size (for BM25-style length normalization) and
-//! per-bin document frequencies (for the IDF award).
+//! together with record counts. The paper (§2.3, Fig. 1) also keeps
+//! aggregate counts at the internal nodes of a tree over the windows;
+//! here only the leaves are stored, and a range aggregate such as the
+//! *dominating grid cell* of a span of windows (§4) is summed from them
+//! on demand — the LSH signatures on the hot path are built from records
+//! instead. A [`HistorySet`] owns all histories of one dataset plus the
+//! dataset-level statistics the similarity score needs: average history
+//! size (for BM25-style length normalization) and per-bin document
+//! frequencies (for the IDF award).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -16,8 +20,62 @@ use geocell::CellId;
 use crate::dataset::LocationDataset;
 use crate::df::DfStats;
 use crate::record::EntityId;
-use crate::tree::{CellCounts, TemporalTree};
 use crate::window::{WindowIdx, WindowScheme};
+
+/// Sorted `(cell, count)` vector — one window's bins, or a sum of them.
+pub type CellCounts = Vec<(CellId, u32)>;
+
+/// Merges `src` into `dst`, summing counts; both must be sorted by cell id
+/// and `dst` remains sorted.
+pub fn merge_counts(dst: &mut CellCounts, src: &[(CellId, u32)]) {
+    if src.is_empty() {
+        return;
+    }
+    if dst.is_empty() {
+        dst.extend_from_slice(src);
+        return;
+    }
+    let mut merged = Vec::with_capacity(dst.len() + src.len());
+    let (mut i, mut j) = (0, 0);
+    while i < dst.len() && j < src.len() {
+        match dst[i].0.cmp(&src[j].0) {
+            std::cmp::Ordering::Less => {
+                merged.push(dst[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                merged.push(src[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                merged.push((dst[i].0, dst[i].1 + src[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    merged.extend_from_slice(&dst[i..]);
+    merged.extend_from_slice(&src[j..]);
+    *dst = merged;
+}
+
+/// Picks the dominating cell of an aggregate, coarsened to `level`: the
+/// coarsened cell with the highest summed count, ties broken towards the
+/// smallest cell id.
+pub fn dominating_of(counts: &[(CellId, u32)], level: u8) -> Option<CellId> {
+    let mut agg: HashMap<CellId, u32> = HashMap::new();
+    for &(cell, count) in counts {
+        let key = if cell.level() > level {
+            cell.parent(level)
+        } else {
+            cell
+        };
+        *agg.entry(key).or_insert(0) += count;
+    }
+    agg.into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .map(|(cell, _)| cell)
+}
 
 /// The grid cells one record maps to at the given level.
 ///
@@ -49,7 +107,8 @@ pub fn record_cells(r: &crate::record::Record, level: u8) -> Vec<CellId> {
 #[derive(Debug, Clone)]
 pub struct MobilityHistory {
     entity: EntityId,
-    /// Leaf bins: window index → sorted `(cell, record count)`.
+    /// Bins of every non-empty window: window index → sorted `(cell,
+    /// record count)`. Range aggregates are summed from these.
     leaves: BTreeMap<WindowIdx, CellCounts>,
     /// Total number of time-location bins (`|H_u|` in the paper).
     num_bins: usize,
@@ -59,8 +118,6 @@ pub struct MobilityHistory {
     /// records (one record, several cells); incremental eviction needs
     /// the true per-window record count to unwind `num_records`.
     window_records: BTreeMap<WindowIdx, u32>,
-    /// Hierarchical aggregate for dominating-cell range queries.
-    tree: TemporalTree,
 }
 
 impl MobilityHistory {
@@ -94,14 +151,12 @@ impl MobilityHistory {
             })
             .collect();
         let num_bins = leaves.values().map(Vec::len).sum();
-        let tree = TemporalTree::build(domain, leaves.iter().map(|(&w, c)| (w, c.clone())));
         Self {
             entity,
             leaves,
             num_bins,
             num_records,
             window_records,
-            tree,
         }
     }
 
@@ -109,10 +164,10 @@ impl MobilityHistory {
     /// materialization path of [`crate::arena::HistoryArena`]. `leaves`
     /// must hold sorted `(cell, count)` bins per window and
     /// `window_records` the true per-window record counts (they differ
-    /// for region records). Counters are derived and the temporal tree
-    /// rebuilt, so the result answers every query exactly like a
-    /// history maintained by [`MobilityHistory::append`] /
-    /// [`MobilityHistory::evict_window`] over the same content.
+    /// for region records). Counters are derived, so the result answers
+    /// every query exactly like a history maintained by
+    /// [`MobilityHistory::append`] / [`MobilityHistory::evict_window`]
+    /// over the same content.
     pub fn from_leaves(
         entity: EntityId,
         leaves: BTreeMap<WindowIdx, CellCounts>,
@@ -120,21 +175,17 @@ impl MobilityHistory {
     ) -> Self {
         let num_bins = leaves.values().map(Vec::len).sum();
         let num_records = window_records.values().sum();
-        let domain = leaves.keys().next_back().map(|&w| w + 1).unwrap_or(1);
-        let tree = TemporalTree::build(domain, leaves.iter().map(|(&w, c)| (w, c.clone())));
         Self {
             entity,
             leaves,
             num_bins,
             num_records,
             window_records,
-            tree,
         }
     }
 
     /// An empty history ready for incremental [`MobilityHistory::append`]
-    /// calls — the streaming entry point. The temporal tree grows with
-    /// the appended windows.
+    /// calls — the streaming entry point.
     pub fn empty(entity: EntityId) -> Self {
         Self {
             entity,
@@ -142,7 +193,6 @@ impl MobilityHistory {
             num_bins: 0,
             num_records: 0,
             window_records: BTreeMap::new(),
-            tree: TemporalTree::new(1),
         }
     }
 
@@ -166,21 +216,18 @@ impl MobilityHistory {
         self.num_bins += new_bins.len();
         self.num_records += 1;
         *self.window_records.entry(w).or_insert(0) += 1;
-        let counts: CellCounts = cells.iter().map(|&c| (c, 1)).collect();
-        self.tree.insert(w, &counts);
         new_bins
     }
 
     /// Drops every bin of window `w` (sliding-window expiry), unwinding
-    /// the bin/record counters and the temporal tree. Returns the
-    /// removed bins so callers can unwind dataset-level statistics.
+    /// the bin and record counters. Returns the removed bins so callers
+    /// can unwind dataset-level statistics.
     pub fn evict_window(&mut self, w: WindowIdx) -> CellCounts {
         let Some(bins) = self.leaves.remove(&w) else {
             return CellCounts::new();
         };
         self.num_bins -= bins.len();
         self.num_records -= self.window_records.remove(&w).unwrap_or(0);
-        self.tree.remove_window(w);
         bins
     }
 
@@ -225,8 +272,23 @@ impl MobilityHistory {
 
     /// Dominating grid cell over the window range `[lo, hi)`, coarsened to
     /// `level` (must be ≤ the history's bin level). `None` if no records.
+    ///
+    /// Sums the leaves in the range: the cost is linear in the bins it
+    /// covers.
     pub fn dominating_cell(&self, lo: WindowIdx, hi: WindowIdx, level: u8) -> Option<CellId> {
-        self.tree.dominating_cell(lo, hi, level)
+        dominating_of(&self.range_counts(lo, hi), level)
+    }
+
+    /// The bins of every window in `[lo, hi)` summed per cell; empty for
+    /// an empty range.
+    fn range_counts(&self, lo: WindowIdx, hi: WindowIdx) -> CellCounts {
+        let mut out = CellCounts::new();
+        if lo < hi {
+            for (_, bins) in self.leaves.range(lo..hi) {
+                merge_counts(&mut out, bins);
+            }
+        }
+        out
     }
 
     /// Number of non-empty windows.
@@ -467,6 +529,124 @@ mod tests {
         WindowScheme::new(Timestamp(0), 900)
     }
 
+    fn cell(lng: f64, level: u8) -> CellId {
+        CellId::from_latlng(LatLng::from_degrees(10.0, lng), level)
+    }
+
+    fn counts(v: &[(CellId, u32)]) -> CellCounts {
+        let mut c = v.to_vec();
+        c.sort_by_key(|&(id, _)| id);
+        c
+    }
+
+    /// A history over the given leaves, one point record per counted bin.
+    fn history_of(leaves: Vec<(WindowIdx, CellCounts)>) -> MobilityHistory {
+        let window_records = leaves
+            .iter()
+            .map(|(w, c)| (*w, c.iter().map(|&(_, n)| n).sum()))
+            .collect();
+        MobilityHistory::from_leaves(EntityId(1), leaves.into_iter().collect(), window_records)
+    }
+
+    #[test]
+    fn merge_counts_sums_and_sorts() {
+        let a = cell(0.0, 12);
+        let b = cell(1.0, 12);
+        let c = cell(2.0, 12);
+        let mut dst = counts(&[(a, 1), (c, 2)]);
+        merge_counts(&mut dst, &counts(&[(a, 3), (b, 5)]));
+        let expect = counts(&[(a, 4), (b, 5), (c, 2)]);
+        assert_eq!(dst, expect);
+    }
+
+    #[test]
+    fn merge_into_empty() {
+        let a = cell(0.0, 12);
+        let mut dst = CellCounts::new();
+        merge_counts(&mut dst, &[(a, 7)]);
+        assert_eq!(dst, vec![(a, 7)]);
+    }
+
+    #[test]
+    fn range_counts_full_range_equals_total() {
+        let a = cell(0.0, 12);
+        let b = cell(1.0, 12);
+        let h = history_of(vec![
+            (0, counts(&[(a, 2)])),
+            (3, counts(&[(a, 1), (b, 4)])),
+            (7, counts(&[(b, 1)])),
+        ]);
+        assert_eq!(h.range_counts(0, 8), counts(&[(a, 3), (b, 5)]));
+    }
+
+    #[test]
+    fn range_counts_partial_ranges() {
+        let a = cell(0.0, 12);
+        let b = cell(1.0, 12);
+        let h = history_of(vec![(0, counts(&[(a, 2)])), (5, counts(&[(b, 3)]))]);
+        assert_eq!(h.range_counts(0, 5), counts(&[(a, 2)]));
+        assert_eq!(h.range_counts(5, 10), counts(&[(b, 3)]));
+        assert_eq!(h.range_counts(1, 5), CellCounts::new());
+        assert_eq!(h.range_counts(3, 3), CellCounts::new());
+        assert_eq!(h.range_counts(6, 2), CellCounts::new(), "inverted range");
+        assert_eq!(h.dominating_cell(6, 2, 12), None);
+    }
+
+    #[test]
+    fn range_beyond_last_window_is_clamped() {
+        let a = cell(0.0, 12);
+        let h = history_of(vec![(2, counts(&[(a, 1)]))]);
+        assert_eq!(h.range_counts(0, 100), counts(&[(a, 1)]));
+        assert_eq!(h.dominating_cell(0, u32::MAX, 12), Some(a));
+    }
+
+    #[test]
+    fn dominating_cell_picks_max_count() {
+        let a = cell(0.0, 12);
+        let b = cell(20.0, 12);
+        let h = history_of(vec![
+            (0, counts(&[(a, 3), (b, 1)])),
+            (1, counts(&[(b, 1)])),
+            (2, counts(&[(b, 2)])),
+        ]);
+        // Over the full range: b has 4, a has 3.
+        assert_eq!(h.dominating_cell(0, 4, 12), Some(b));
+        // Over just window 0: a dominates.
+        assert_eq!(h.dominating_cell(0, 1, 12), Some(a));
+        // Empty range.
+        assert_eq!(h.dominating_cell(3, 4, 12), None);
+    }
+
+    #[test]
+    fn dominating_cell_coarsens_level() {
+        // Two nearby fine cells share a coarse parent; together they
+        // out-count a distant cell.
+        let fine1 = CellId::from_latlng(LatLng::from_degrees(10.0, 0.0), 16);
+        // A sibling of fine1 under the same level-15 parent, guaranteeing a
+        // shared ancestor at level 8.
+        let fine2 = (0..4)
+            .map(|k| fine1.parent(15).child(k))
+            .find(|&c| c != fine1)
+            .unwrap();
+        let far = CellId::from_latlng(LatLng::from_degrees(10.0, 40.0), 16);
+        let h = history_of(vec![(0, counts(&[(fine1, 2), (fine2, 2), (far, 3)]))]);
+        // At level 16 `far` dominates (3 vs 2 each)…
+        assert_eq!(h.dominating_cell(0, 2, 16), Some(far));
+        // …but at level 8 the two nearby cells merge (4 > 3).
+        let dom = h.dominating_cell(0, 2, 8).unwrap();
+        assert_eq!(dom.level(), 8);
+        assert!(dom.contains(fine1));
+    }
+
+    #[test]
+    fn deterministic_tie_break() {
+        let a = cell(0.0, 12);
+        let b = cell(30.0, 12);
+        let h = history_of(vec![(0, counts(&[(a, 2), (b, 2)]))]);
+        let dom = h.dominating_cell(0, 1, 12).unwrap();
+        assert_eq!(dom, a.min(b), "ties break to the smaller id");
+    }
+
     #[test]
     fn history_bins_by_window_and_cell() {
         let records = vec![
@@ -494,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn dominating_cell_via_tree() {
+    fn dominating_cell_from_built_history() {
         let records = vec![
             rec(1, 0, 37.0, -122.0),
             rec(1, 10, 37.0, -122.0),
@@ -613,8 +793,8 @@ mod tests {
                     assert!((batch.idf(w, c) - incr.idf(w, c)).abs() < 1e-12);
                 }
             }
-            // Dominating-cell queries go through the incrementally grown
-            // tree and must agree with the batch-built one.
+            // Dominating-cell queries sum the incrementally appended
+            // leaves and must agree with the batch-built ones.
             assert_eq!(
                 hb.dominating_cell(0, domain, 12),
                 hi.dominating_cell(0, domain, 12),
@@ -697,10 +877,11 @@ mod tests {
 
     #[test]
     fn domain_clamps_late_records() {
-        // A record beyond the domain is clamped to the last window rather
-        // than panicking in the tree build.
+        // A record beyond the domain lands in the last window, as it does
+        // in the record-built LSH signatures, so both agree on its span.
         let records = vec![rec(1, 900 * 50, 37.0, -122.0)];
         let h = MobilityHistory::build(EntityId(1), &records, &scheme(), LEVEL, 10);
         assert_eq!(h.windows().collect::<Vec<_>>(), vec![9]);
+        assert!(h.dominating_cell(9, 10, LEVEL).is_some());
     }
 }

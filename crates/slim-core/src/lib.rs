@@ -8,8 +8,10 @@
 //! The pipeline (paper §2.4):
 //!
 //! 1. Records are aggregated into [`history::MobilityHistory`] summaries —
-//!    hierarchical time-location bins over a shared
-//!    [`window::WindowScheme`] and a spatial grid level (see `geocell`).
+//!    time-location bins (per-window grid cells with record counts) over
+//!    a shared [`window::WindowScheme`] and a spatial grid level (see
+//!    `geocell`); coarser cells and window-range aggregates are derived
+//!    from those bins on demand.
 //! 2. Candidate entity pairs are scored with the
 //!    [`similarity::SimilarityScorer`]: mutually-nearest-neighbour bin
 //!    pairs are awarded by proximity ([`proximity`]), weighted by bin
@@ -69,7 +71,6 @@ pub mod slim;
 pub mod stats;
 pub mod threshold;
 pub mod time;
-pub mod tree;
 pub mod tuning;
 pub mod window;
 

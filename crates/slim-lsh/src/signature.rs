@@ -9,11 +9,15 @@
 //!
 //! Signatures are built straight from records, because the LSH spatial
 //! level is a free parameter that may be *finer* than the similarity
-//! bins' level (Fig. 8 sweeps it past the default level 12), and the
-//! history tree can only coarsen. When the LSH level is at or above the
-//! history level, [`signature_from_history`] produces an identical result
-//! via `O(log n)` tree queries, demonstrating the paper's use of "the
-//! appropriate level of the mobility history tree".
+//! bins' level (Fig. 8 sweeps it past the default level 12), and a
+//! history's bins can only coarsen. [`signature_from_history`] builds the
+//! same signature from a history instead: each span's range aggregate is
+//! summed from its leaf windows and coarsened to the LSH level. The two
+//! agree whenever the LSH level is at or above the history level and the
+//! records are points. A region record counts once per bin-level cell its
+//! disc touches, so coarsening those counts can outweigh the record-built
+//! count of one per coarse cell; with region records they agree at the
+//! history level only.
 
 use std::collections::HashMap;
 
@@ -111,9 +115,10 @@ pub fn signatures_for_dataset(
         .collect()
 }
 
-/// Builds a signature through the mobility-history tree's dominating-cell
+/// Builds a signature through the mobility history's dominating-cell
 /// range queries. Only valid when `spatial_level` is at or coarser than
-/// the history's bin level.
+/// the history's bin level; see the module docs for when it equals
+/// [`signature_from_records`].
 pub fn signature_from_history(
     history: &MobilityHistory,
     domain: u32,

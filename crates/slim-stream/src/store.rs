@@ -13,8 +13,8 @@ use std::collections::HashMap;
 
 use geocell::CellId;
 use slim_core::arena::{EntityView, HistoryArena};
+use slim_core::history::CellCounts;
 use slim_core::similarity::{common_windows, SimilarityScorer};
-use slim_core::tree::CellCounts;
 use slim_core::{EntityId, LinkageStats, MobilityHistory, WindowIdx};
 
 use crate::config::StorageMode;

@@ -5,14 +5,19 @@ use proptest::prelude::*;
 
 use slim::core::erf::{erf, normal_cdf};
 use slim::core::gmm::Gmm2;
+use slim::core::history::merge_counts;
 use slim::core::matching::{greedy_max_matching, is_valid_matching, Edge};
 use slim::core::pairing::{all_pairs, mutually_furthest, mutually_nearest};
 use slim::core::proximity::proximity_of_distance;
 use slim::core::threshold::{otsu, two_means};
-use slim::core::tree::{merge_counts, TemporalTree};
-use slim::core::{EntityId, Timestamp, WindowScheme};
+use slim::core::{
+    EntityId, HistorySet, LocationDataset, MobilityHistory, Record, Timestamp, WindowScheme,
+};
 use slim::geo::{cell_min_distance_m, CellId, LatLng};
-use slim::lsh::{bands_for_threshold, collision_probability, lambert_w0};
+use slim::lsh::{
+    bands_for_threshold, collision_probability, lambert_w0, signature_from_history,
+    signature_from_records,
+};
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
     (-85.0f64..85.0, -179.9f64..179.9).prop_map(|(lat, lng)| LatLng::from_degrees(lat, lng))
@@ -153,44 +158,106 @@ proptest! {
         prop_assert!(greedy_total <= opt + 1e-9);
     }
 
-    // ---- temporal tree ----
+    // ---- mobility histories ----
 
     #[test]
-    fn tree_query_equals_naive_sum(
-        leaves in prop::collection::vec((0u32..32, 0u8..4, 1u32..5), 0..24),
-        lo in 0u32..32,
-        len in 0u32..32,
+    fn history_range_dominating_equals_naive(
+        leaves in prop::collection::vec((0u32..32, 0u8..6, 1u32..5), 0..24),
+        lo in 0u32..40,
+        len in 0u32..40,
     ) {
         use std::collections::BTreeMap;
-        let cells: Vec<CellId> = (0..4)
-            .map(|k| CellId::from_latlng(LatLng::from_degrees(10.0, k as f64 * 10.0), 12))
+        // Two clusters of three nearby level-12 cells: distinct at the bin
+        // level, merged (at least in part) at level 8.
+        let cells: Vec<CellId> = (0..6)
+            .map(|k| {
+                let lng = (k / 3) as f64 * 10.0 + (k % 3) as f64 * 0.03;
+                CellId::from_latlng(LatLng::from_degrees(10.0, lng), 12)
+            })
             .collect();
         // Aggregate duplicate (window, cell) entries.
         let mut per_window: BTreeMap<u32, BTreeMap<CellId, u32>> = BTreeMap::new();
         for &(w, c, n) in &leaves {
             *per_window.entry(w).or_default().entry(cells[c as usize]).or_insert(0) += n;
         }
-        let tree = TemporalTree::build(
-            32,
-            per_window.iter().map(|(&w, m)| {
-                let mut v: Vec<(CellId, u32)> = m.iter().map(|(&c, &n)| (c, n)).collect();
-                v.sort_by_key(|&(c, _)| c);
-                (w, v)
-            }),
+        let history = MobilityHistory::from_leaves(
+            EntityId(0),
+            per_window
+                .iter()
+                .map(|(&w, m)| (w, m.iter().map(|(&c, &n)| (c, n)).collect()))
+                .collect(),
+            per_window.iter().map(|(&w, m)| (w, m.values().sum())).collect(),
         );
-        let hi = (lo + len).min(32);
-        let got = tree.query(lo, hi);
-        // Naive reference.
-        let mut want: BTreeMap<CellId, u32> = BTreeMap::new();
-        for (&w, m) in &per_window {
-            if w >= lo && w < hi {
-                for (&c, &n) in m {
-                    *want.entry(c).or_insert(0) += n;
+        // `hi` may pass the last window: the range is clamped, not rejected.
+        let hi = lo + len;
+        for level in [12u8, 8] {
+            // Naive reference: sum the range per coarsened cell, then take
+            // the first maximum in ascending cell order (the smallest id
+            // wins a tie).
+            let mut sums: BTreeMap<CellId, u32> = BTreeMap::new();
+            for (&w, m) in &per_window {
+                if w >= lo && w < hi {
+                    for (&c, &n) in m {
+                        *sums.entry(c.parent(level)).or_insert(0) += n;
+                    }
+                }
+            }
+            let mut want: Option<(CellId, u32)> = None;
+            for (&c, &n) in &sums {
+                if want.is_none_or(|(_, best)| n > best) {
+                    want = Some((c, n));
+                }
+            }
+            prop_assert_eq!(history.dominating_cell(lo, hi, level), want.map(|(c, _)| c));
+        }
+    }
+
+    #[test]
+    fn history_and_record_signatures_agree(
+        recs in prop::collection::vec((0u64..4, 0i64..120, 0u8..6, 0u8..4), 1..60),
+    ) {
+        // Times reach ~33 windows of 900 s against a domain of 28, so the
+        // late records are clamped into the last window by both builders.
+        let scheme = WindowScheme::new(Timestamp(0), 900);
+        let domain = 28;
+        let records: Vec<Record> = recs
+            .iter()
+            .map(|&(e, slot, loc, kind)| {
+                let lat = 37.0 + (loc / 3) as f64 * 0.2 + (loc % 3) as f64 * 0.004;
+                let at = LatLng::from_degrees(lat, -122.0);
+                let t = Timestamp(slot * 250);
+                // One record in four is a 300 m region disc.
+                let accuracy = if kind == 0 { 300.0 } else { 0.0 };
+                Record::with_accuracy(EntityId(e), at, t, accuracy)
+            })
+            .collect();
+        // A region record adds one count per bin-level cell it touches, so
+        // coarsening those counts is not the same as re-binning the disc at
+        // the coarser level: with region records the two builders agree
+        // only at the bin level, and with point records at every level.
+        let points: Vec<Record> = records.iter().filter(|r| !r.is_region()).cloned().collect();
+        let cases = [
+            (records, &[(1u32, 12u8), (4, 12), (28, 12)][..]),
+            (points, &[(1, 12), (4, 12), (5, 11), (8, 10), (28, 8)][..]),
+        ];
+        for (records, pairs) in cases {
+            let ds = LocationDataset::from_records(records);
+            let hs = HistorySet::build(&ds, scheme, 12, domain);
+            for e in ds.entities_sorted() {
+                let history = hs.history(e).unwrap();
+                for &(step, lsh_level) in pairs {
+                    let via_records = signature_from_records(
+                        e, ds.records_of(e), &scheme, domain, step, lsh_level,
+                    );
+                    let via_history = signature_from_history(history, domain, step, lsh_level);
+                    prop_assert!(
+                        via_records == via_history,
+                        "{} step {} level {}: {:?} vs {:?}",
+                        e, step, lsh_level, via_records, via_history
+                    );
                 }
             }
         }
-        let want: Vec<(CellId, u32)> = want.into_iter().collect();
-        prop_assert_eq!(got, want);
     }
 
     #[test]
